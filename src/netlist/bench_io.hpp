@@ -14,16 +14,18 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.hpp"
 
 namespace xsfq {
 
-/// Parses BENCH text; throws std::invalid_argument with a line number on
-/// malformed input.
-netlist read_bench(std::istream& is, const std::string& model_name = "top");
-netlist read_bench_string(const std::string& text,
+/// Parses BENCH text in one pass over `text`; throws std::invalid_argument
+/// with a line number on malformed input.
+netlist read_bench_string(std::string_view text,
                           const std::string& model_name = "top");
+/// Reads the file into one buffer and parses it with read_bench_string;
+/// the model is named after the file.
 netlist read_bench_file(const std::string& path);
 
 /// Writes a netlist in BENCH format (multi-input gates emitted natively).

@@ -6,17 +6,21 @@
 /// paper's evaluation (Tables 3 and 4).  Supported subset: .model, .inputs,
 /// .outputs, .names (SOP covers with '-' don't-cares), .latch (re/fe/ah/al/as
 /// and clock fields optional, init 0/1/2/3), .end.  SOP covers are lowered to
-/// AND/OR/NOT gates while parsing.
+/// AND/OR/NOT gates after parsing.  A cover row's output bit must be 0 or 1,
+/// and all rows of one cover must share it (onset or offset, not both).
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.hpp"
 
 namespace xsfq {
 
-netlist read_blif(std::istream& is);
-netlist read_blif_string(const std::string& text);
+/// Parses BLIF text in one pass over `text`; throws std::invalid_argument
+/// with a line number on malformed input.
+netlist read_blif_string(std::string_view text);
+/// Reads the file into one buffer and parses it with read_blif_string.
 netlist read_blif_file(const std::string& path);
 
 /// Writes the netlist as BLIF (.names covers; DFFs as .latch).

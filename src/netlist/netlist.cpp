@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace xsfq {
@@ -23,18 +24,86 @@ const char* gate_kind_name(gate_kind kind) {
   return "?";
 }
 
-netlist::net_index netlist::add_net(const std::string& name) {
-  const auto index = static_cast<net_index>(net_names_.size());
-  net_names_.push_back(name);
+namespace {
+
+/// Name hash for the net index: word-at-a-time multiply-xorshift, good
+/// enough for the short identifiers netlists carry.
+std::uint32_t hash_name(std::string_view s) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ s.size();
+  const char* p = s.data();
+  std::size_t n = s.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
+  }
+  if (n > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+  }
+  h ^= h >> 29;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 32;
+  return static_cast<std::uint32_t>(h);
+}
+
+}  // namespace
+
+std::size_t netlist::find_slot(std::string_view name,
+                               std::uint32_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t slot = slots_[i];
+    if (slot == 0) return i;
+    if (name_hash_[slot - 1] == hash && net_name(slot - 1) == name) return i;
+  }
+}
+
+void netlist::rebuild_index(std::size_t capacity) {
+  std::size_t size = 64;
+  while (size < 2 * capacity) size *= 2;
+  slots_.assign(size, 0);
+  const std::size_t mask = size - 1;
+  for (std::size_t n = 0; n < name_hash_.size(); ++n) {
+    std::size_t i = name_hash_[n] & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::uint32_t>(n + 1);
+  }
+}
+
+netlist::net_index netlist::add_net(std::string_view name, std::uint32_t hash,
+                                    std::size_t slot) {
+  const auto index = static_cast<net_index>(driver_.size());
+  names_.append(name);
+  name_begin_.push_back(names_.size());
+  name_hash_.push_back(hash);
   driver_.push_back(-1);
-  by_name_.emplace(name, index);
+  if (2 * driver_.size() > slots_.size()) {
+    rebuild_index(driver_.size());
+  } else {
+    slots_[slot] = index + 1;
+  }
   return index;
 }
 
-netlist::net_index netlist::add_input(const std::string& name) {
+void netlist::reserve(std::size_t nets, std::size_t gates) {
+  names_.reserve(nets * 8);
+  name_begin_.reserve(nets + 1);
+  name_hash_.reserve(nets);
+  driver_.reserve(nets);
+  if (2 * nets > slots_.size()) rebuild_index(nets);
+  gates_.reserve(gates);
+  fanin_begin_.reserve(gates + 1);
+  fanins_.reserve(2 * gates);
+}
+
+netlist::net_index netlist::add_input(std::string_view name) {
   const net_index n = net_by_name(name);
   if (driver_[n] != -1) {
-    throw std::invalid_argument("netlist: input net already driven: " + name);
+    throw std::invalid_argument("netlist: input net already driven: " +
+                                std::string(name));
   }
   driver_[n] = -2;
   inputs_.push_back(n);
@@ -44,36 +113,40 @@ netlist::net_index netlist::add_input(const std::string& name) {
 void netlist::mark_output(net_index net) { outputs_.push_back(net); }
 
 netlist::net_index netlist::add_gate(gate_kind kind,
-                                     std::vector<net_index> fanins,
-                                     const std::string& name, bool init) {
-  const net_index out = net_by_name(name);
-  if (driver_[out] != -1) {
-    throw std::invalid_argument("netlist: net driven twice: " + name);
-  }
-  gate g;
-  g.kind = kind;
-  g.fanins = std::move(fanins);
-  g.output = out;
-  g.init = init;
-  driver_[out] = static_cast<std::int32_t>(gates_.size());
-  gates_.push_back(std::move(g));
-  return out;
+                                     std::span<const net_index> fanins,
+                                     std::string_view name, bool init) {
+  return add_gate(kind, fanins, net_by_name(name), init);
 }
 
-netlist::net_index netlist::net_by_name(const std::string& name) {
-  if (const auto it = by_name_.find(name); it != by_name_.end()) {
-    return it->second;
+netlist::net_index netlist::add_gate(gate_kind kind,
+                                     std::span<const net_index> fanins,
+                                     net_index output, bool init) {
+  if (driver_[output] != -1) {
+    throw std::invalid_argument("netlist: net driven twice: " +
+                                std::string(net_name(output)));
   }
-  return add_net(name);
+  driver_[output] = static_cast<std::int32_t>(gates_.size());
+  gates_.push_back({output, kind, init});
+  fanins_.insert(fanins_.end(), fanins.begin(), fanins.end());
+  fanin_begin_.push_back(static_cast<std::uint32_t>(fanins_.size()));
+  return output;
 }
 
-bool netlist::has_net(const std::string& name) const {
-  return by_name_.contains(name);
+netlist::net_index netlist::net_by_name(std::string_view name) {
+  if (slots_.empty()) rebuild_index(0);
+  const std::uint32_t hash = hash_name(name);
+  const std::size_t slot = find_slot(name, hash);
+  if (slots_[slot] != 0) return slots_[slot] - 1;
+  return add_net(name, hash, slot);
+}
+
+bool netlist::has_net(std::string_view name) const {
+  return !slots_.empty() && slots_[find_slot(name, hash_name(name))] != 0;
 }
 
 std::size_t netlist::num_dffs() const {
   return static_cast<std::size_t>(
-      std::count_if(gates_.begin(), gates_.end(), [](const gate& g) {
+      std::count_if(gates_.begin(), gates_.end(), [](const gate_record& g) {
         return g.kind == gate_kind::dff;
       }));
 }
@@ -83,82 +156,161 @@ bool netlist::is_fully_driven() const {
                      [](std::int32_t d) { return d != -1; });
 }
 
-aig netlist::to_aig() const {
-  if (!is_fully_driven()) {
-    throw std::invalid_argument("netlist::to_aig: undriven nets present");
-  }
-  aig result;
-  std::vector<signal> value(net_names_.size(), result.get_constant(false));
-  std::vector<bool> ready(net_names_.size(), false);
-
-  for (const net_index n : inputs_) {
-    value[n] = result.create_pi(net_names_[n]);
-    ready[n] = true;
-  }
-  // DFF outputs are register outputs (combinational inputs).
-  std::vector<std::pair<std::size_t, const gate*>> dffs;
-  for (const gate& g : gates_) {
-    if (g.kind == gate_kind::dff) {
-      value[g.output] =
-          result.create_register_output(g.init, net_names_[g.output]);
-      ready[g.output] = true;
-      dffs.emplace_back(result.num_registers() - 1, &g);
-    }
-  }
-
-  // Lower combinational gates; iterate until fixpoint since file order and
-  // gate order are arbitrary (BENCH allows forward references).
-  auto lower = [&](const gate& g) -> signal {
-    std::vector<signal> ins;
-    ins.reserve(g.fanins.size());
-    for (const net_index f : g.fanins) ins.push_back(value[f]);
-    switch (g.kind) {
-      case gate_kind::constant0: return result.get_constant(false);
-      case gate_kind::constant1: return result.get_constant(true);
-      case gate_kind::buffer: return ins.at(0);
-      case gate_kind::inverter: return !ins.at(0);
-      case gate_kind::and_gate: return result.create_and_n(ins);
-      case gate_kind::or_gate: return result.create_or_n(ins);
-      case gate_kind::nand_gate: return !result.create_and_n(ins);
-      case gate_kind::nor_gate: return !result.create_or_n(ins);
-      case gate_kind::xor_gate: return result.create_xor_n(ins);
-      case gate_kind::xnor_gate: return !result.create_xor_n(ins);
-      case gate_kind::mux_gate:
-        return result.create_mux(ins.at(0), ins.at(1), ins.at(2));
-      case gate_kind::dff: break;  // handled above
-    }
-    throw std::logic_error("netlist::to_aig: unexpected gate kind");
+std::vector<std::uint32_t> netlist::lowering_order() const {
+  // File order and gate order are arbitrary (BENCH allows forward
+  // references), so gates are lowered by "sweep": the pass in which a
+  // repeated in-order scan would first find all of a gate's fanins ready.
+  //   sweep(g) = max(1, max over combinational fanin drivers h of
+  //                     sweep(h) + [h > g])
+  // Inputs and DFF outputs are ready from the start.  Lowering in
+  // (sweep, index) order keeps the node creation order of that scan while
+  // costing one topological pass (Kahn) instead of one scan per level.
+  const std::size_t n = gates_.size();
+  const auto comb_driver = [&](net_index net) -> std::int32_t {
+    const std::int32_t d = driver_[net];
+    return d >= 0 && gates_[d].kind != gate_kind::dff ? d : -1;
   };
-
-  bool progress = true;
-  std::size_t remaining = 0;
-  do {
-    progress = false;
-    remaining = 0;
-    for (const gate& g : gates_) {
-      if (g.kind == gate_kind::dff || ready[g.output]) continue;
-      const bool inputs_ready =
-          std::all_of(g.fanins.begin(), g.fanins.end(),
-                      [&](net_index f) { return ready[f]; });
-      if (!inputs_ready) {
-        ++remaining;
-        continue;
-      }
-      value[g.output] = lower(g);
-      ready[g.output] = true;
-      progress = true;
+  std::vector<std::uint32_t> order;
+  // Common case: every gate is listed after its drivers, so all sweeps
+  // are 1 and the order is the index order.
+  bool forward = true;
+  for (std::size_t g = 0; g < n && forward; ++g) {
+    if (gates_[g].kind == gate_kind::dff) continue;
+    order.push_back(static_cast<std::uint32_t>(g));
+    for (const net_index f : gate_at(g).fanins) {
+      forward &= comb_driver(f) < static_cast<std::int32_t>(g);
     }
-  } while (progress && remaining > 0);
-  if (remaining > 0) {
+  }
+  if (forward) return order;
+
+  std::vector<std::uint32_t> unresolved(n, 0);
+  std::vector<std::uint32_t> succ_begin(n + 1, 0);
+  std::size_t combinational = 0;
+  for (std::size_t g = 0; g < n; ++g) {
+    if (gates_[g].kind == gate_kind::dff) continue;
+    ++combinational;
+    for (const net_index f : gate_at(g).fanins) {
+      if (const std::int32_t h = comb_driver(f); h >= 0) {
+        ++succ_begin[h + 1];
+        ++unresolved[g];
+      }
+    }
+  }
+  for (std::size_t g = 0; g < n; ++g) succ_begin[g + 1] += succ_begin[g];
+  std::vector<std::uint32_t> succ(succ_begin[n]);
+  {
+    std::vector<std::uint32_t> cursor(succ_begin.begin(), succ_begin.end() - 1);
+    for (std::size_t g = 0; g < n; ++g) {
+      if (gates_[g].kind == gate_kind::dff) continue;
+      for (const net_index f : gate_at(g).fanins) {
+        if (const std::int32_t h = comb_driver(f); h >= 0) {
+          succ[cursor[h]++] = static_cast<std::uint32_t>(g);
+        }
+      }
+    }
+  }
+
+  std::vector<std::uint32_t> sweep(n, 1);
+  std::vector<std::uint32_t> topo;
+  topo.reserve(combinational);
+  for (std::size_t g = 0; g < n; ++g) {
+    if (gates_[g].kind != gate_kind::dff && unresolved[g] == 0) {
+      topo.push_back(static_cast<std::uint32_t>(g));
+    }
+  }
+  for (std::size_t head = 0; head < topo.size(); ++head) {
+    const std::uint32_t h = topo[head];
+    for (std::uint32_t e = succ_begin[h]; e < succ_begin[h + 1]; ++e) {
+      const std::uint32_t g = succ[e];
+      sweep[g] = std::max(sweep[g], sweep[h] + (h > g ? 1u : 0u));
+      if (--unresolved[g] == 0) topo.push_back(g);
+    }
+  }
+  if (topo.size() != combinational) {
     throw std::invalid_argument(
         "netlist::to_aig: combinational cycle detected");
   }
 
-  for (const net_index n : outputs_) {
-    result.create_po(value[n], net_names_[n]);
+  // Counting sort by sweep; the index scan keeps ties in index order.
+  std::vector<std::uint32_t> bucket(n + 2, 0);
+  for (const std::uint32_t g : topo) ++bucket[sweep[g]];
+  std::uint32_t offset = 0;
+  for (std::uint32_t& b : bucket) {
+    const std::uint32_t count = b;
+    b = offset;
+    offset += count;
   }
-  for (const auto& [reg, g] : dffs) {
-    result.set_register_input(reg, value[g->fanins.at(0)]);
+  order.assign(combinational, 0);
+  for (std::size_t g = 0; g < n; ++g) {
+    if (gates_[g].kind == gate_kind::dff) continue;
+    order[bucket[sweep[g]]++] = static_cast<std::uint32_t>(g);
+  }
+  return order;
+}
+
+aig netlist::to_aig() const {
+  if (!is_fully_driven()) {
+    throw std::invalid_argument("netlist::to_aig: undriven nets present");
+  }
+  const std::vector<std::uint32_t> order = lowering_order();
+
+  aig result;
+  // Size the node array for the gates that can become AND nodes, so bulk
+  // construction does not grow and rehash its way up.
+  std::size_t expected_nodes = inputs_.size();
+  for (const gate_record& g : gates_) {
+    if (g.kind != gate_kind::buffer && g.kind != gate_kind::inverter &&
+        g.kind != gate_kind::constant0 && g.kind != gate_kind::constant1) {
+      ++expected_nodes;
+    }
+  }
+  result.reserve(expected_nodes);
+  std::vector<signal> value(num_nets(), result.get_constant(false));
+  for (const net_index n : inputs_) {
+    value[n] = result.create_pi(std::string(net_name(n)));
+  }
+  // DFF outputs are register outputs (combinational inputs).
+  std::vector<std::uint32_t> dffs;
+  for (std::size_t i = 0; i < gates_.size(); ++i) {
+    const gate_record& g = gates_[i];
+    if (g.kind == gate_kind::dff) {
+      value[g.output] = result.create_register_output(
+          g.init, std::string(net_name(g.output)));
+      dffs.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+
+  std::vector<signal> ins;
+  for (const std::uint32_t i : order) {
+    const gate g = gate_at(i);
+    ins.clear();
+    for (const net_index f : g.fanins) ins.push_back(value[f]);
+    signal out = result.get_constant(false);
+    switch (g.kind) {
+      case gate_kind::constant0: out = result.get_constant(false); break;
+      case gate_kind::constant1: out = result.get_constant(true); break;
+      case gate_kind::buffer: out = ins[0]; break;
+      case gate_kind::inverter: out = !ins[0]; break;
+      case gate_kind::and_gate: out = result.create_and_n(ins); break;
+      case gate_kind::or_gate: out = result.create_or_n(ins); break;
+      case gate_kind::nand_gate: out = !result.create_and_n(ins); break;
+      case gate_kind::nor_gate: out = !result.create_or_n(ins); break;
+      case gate_kind::xor_gate: out = result.create_xor_n(ins); break;
+      case gate_kind::xnor_gate: out = !result.create_xor_n(ins); break;
+      case gate_kind::mux_gate:
+        out = result.create_mux(ins[0], ins[1], ins[2]);
+        break;
+      case gate_kind::dff:
+        throw std::logic_error("netlist::to_aig: unexpected gate kind");
+    }
+    value[g.output] = out;
+  }
+
+  for (const net_index n : outputs_) {
+    result.create_po(value[n], std::string(net_name(n)));
+  }
+  for (std::size_t r = 0; r < dffs.size(); ++r) {
+    result.set_register_input(r, value[gate_at(dffs[r]).fanins[0]]);
   }
   return result;
 }

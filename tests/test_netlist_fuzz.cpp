@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "aig/aig.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/blif_io.hpp"
 #include "netlist/netlist.hpp"
@@ -112,6 +115,80 @@ TEST(NetlistFuzz, CombinationalCyclesAreDetectedNotLoopedOn) {
   const netlist self = read_bench_string(
       "INPUT(a)\nOUTPUT(y)\ns = AND(s, a)\ny = BUF(s)\n", "self");
   EXPECT_THROW(self.to_aig(), std::invalid_argument);
+}
+
+TEST(NetlistFuzz, ReverseOrderedChainLowersInLinearTime) {
+  // Gate order is free in BENCH, and lowering must stay linear in it: a
+  // chain listed output-first needs one level per gate, which a
+  // sweep-until-fixpoint lowering turns into n^2 work (minutes at this
+  // size; ctest's TIMEOUT for this binary is 30 s).  The chain is about
+  // 4 MB of text, the order of a large upload.
+  constexpr int chain = 200000;
+  char line[64];
+  std::snprintf(line, sizeof line, "y = BUFF(n%d)\n", chain - 1);
+  std::string text = std::string("INPUT(a)\nOUTPUT(y)\n") + line;
+  for (int i = chain - 1; i > 0; --i) {
+    std::snprintf(line, sizeof line, "n%d = NOT(n%d)\n", i, i - 1);
+    text += line;
+  }
+  text += "n0 = NOT(a)\n";
+  const aig g = read_bench_string(text, "chain").to_aig();
+  ASSERT_EQ(g.num_pis(), 1u);
+  ASSERT_EQ(g.num_pos(), 1u);
+  EXPECT_EQ(g.num_gates(), 0u);
+  // An even number of inverters: y is the input itself.
+  EXPECT_EQ(g.po_signal(0), g.pi(0));
+
+  // A chain of real AND nodes: the dependencies fix the creation order,
+  // so listing it backwards must give the same AIG as listing it forwards.
+  std::vector<std::string> lines = {"m0 = NAND(a, b)\n"};
+  for (int i = 1; i < chain; ++i) {
+    std::snprintf(line, sizeof line, "m%d = AND(m%d, %c)\n", i, i - 1,
+                  i % 2 ? 'a' : 'b');
+    lines.emplace_back(line);
+  }
+  std::snprintf(line, sizeof line, "y = BUFF(m%d)\n", chain - 1);
+  const std::string ports = std::string("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n") +
+                            line;
+  std::string forward = ports;
+  std::string reverse = ports;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    forward += lines[i];
+    reverse += lines[lines.size() - 1 - i];
+  }
+  const aig fwd = read_bench_string(forward, "ands").to_aig();
+  const aig rev = read_bench_string(reverse, "ands").to_aig();
+  EXPECT_GT(rev.num_gates(), static_cast<std::size_t>(chain) / 2);
+  EXPECT_EQ(rev.content_hash(), fwd.content_hash());
+}
+
+TEST(NetlistFuzz, MalformedBlifCoversAreRejected) {
+  // An output bit other than 0/1 used to be read as offset.
+  try {
+    read_blif_string(
+        ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 x\n");
+    FAIL() << "non-0/1 cover output should have been rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "blif: line 5: cover output must be 0 or 1");
+  }
+  // A cover mixing onset and offset rows used to lower as XNOR.
+  try {
+    read_blif_string(
+        ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n");
+    FAIL() << "mixed-polarity cover should have been rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "blif: line 6: cover mixes onset and offset rows in .names y");
+  }
+  // Constant covers follow the same rules.
+  EXPECT_THROW(read_blif_string(".model m\n.outputs y\n.names y\n2\n"),
+               std::invalid_argument);
+  EXPECT_THROW(read_blif_string(".model m\n.outputs y\n.names y\n1\n0\n"),
+               std::invalid_argument);
+  // Uniform covers of either polarity still parse.
+  EXPECT_NO_THROW(read_blif_string(
+      ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 0\n00 0\n"));
 }
 
 TEST(NetlistFuzz, OversizedIdentifiersAreRejected) {

@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "aig/simulate.hpp"
 #include "benchgen/iscas85.hpp"
@@ -149,6 +154,31 @@ TEST(Blif, AigWithRegistersRoundTrip) {
   const netlist n = netlist_from_aig(g, "seq");
   const aig g2 = read_blif_string(write_blif_string(n)).to_aig();
   EXPECT_TRUE(random_sequential_equivalent(g, g2, 8, 64));
+}
+
+TEST(NetlistFiles, FileReadersMatchStringReaders) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("xsfq_netlist_io_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string bench_path = (dir / "fa.bench").string();
+  const std::string blif_path = (dir / "mux.blif").string();
+  std::ofstream(bench_path) << k_bench_text;
+  std::ofstream(blif_path) << k_blif_text;
+
+  const netlist bench = read_bench_file(bench_path);
+  EXPECT_EQ(bench.name(), "fa");  // named after the file
+  EXPECT_EQ(bench.to_aig().content_hash(),
+            read_bench_string(k_bench_text, "fa").to_aig().content_hash());
+  const netlist blif = read_blif_file(blif_path);
+  EXPECT_EQ(blif.name(), "mux");
+  EXPECT_EQ(blif.to_aig().content_hash(),
+            read_blif_string(k_blif_text).to_aig().content_hash());
+
+  EXPECT_THROW(read_bench_file((dir / "missing.bench").string()),
+               std::invalid_argument);
+  EXPECT_THROW(read_blif_file((dir / "missing.blif").string()),
+               std::invalid_argument);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Dot, ContainsStructure) {

@@ -989,6 +989,10 @@ TEST(ServeEndToEnd, TraceOutDirExportsChromeJsonPerTracedRequest) {
   req.trace_hi = 1;
   req.trace_lo = 2;
   ASSERT_TRUE(cli.submit(req).ok);
+  // The handler replies before it exports the trace, and serves one
+  // connection's frames in order: once a follow-up on the same connection
+  // is answered, the export has finished.
+  ASSERT_TRUE(cli.ping());
 
   // Exactly one export, named by the hex trace id, valid Chrome JSON shape.
   std::vector<std::string> files;
