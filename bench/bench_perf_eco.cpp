@@ -21,6 +21,14 @@
 /// gate) enforces the headline: a single-gate edit on c6288 resynthesizes
 /// in under 2 ms end to end.
 ///
+/// A steady phase follows: the same two sessions, interleaved one
+/// single-gate edit each at seeded random positions.  They run untimed
+/// until the daemon's region tier has taken more stores than its capacity,
+/// then 1024 timed rounds, so the tier's eviction policy is on the measured
+/// path.  The phase reports the c6288 single-gate p50 and the region hit
+/// ratio of the timed rounds; the gate caps the p50 and floors the hit
+/// ratio (a ratio of counts, so the floor holds on any host).
+///
 /// --trace stamps a fresh v6 trace id on every request and, per session,
 /// reads the last request's span waterfall back from the daemon
 /// (PERF_ECO_TRACE lines).  Reported-only: CI runs it alongside the gated
@@ -38,10 +46,12 @@
 #include <vector>
 
 #include "aig/edit.hpp"
+#include "opt/partition.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/synth_service.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 using namespace xsfq;
 
@@ -75,6 +85,8 @@ std::string sig_token(const signal s) {
 /// every gate was visited once — still a new parity state, never a repeat).
 struct eco_session {
   serve::client& cli;
+  std::string name;
+  unsigned grain;
   serve::synth_request base;
   aig current;
   std::uint64_t current_hash;
@@ -83,8 +95,11 @@ struct eco_session {
   std::unordered_set<std::uint64_t> seen;  ///< every hash served so far
   std::uint64_t last_trace_lo = 0;         ///< id of the latest request
 
-  eco_session(serve::client& client, const std::string& name, unsigned grain)
-      : cli(client), base(serve::make_request_for_spec(name)) {
+  eco_session(serve::client& client, std::string circuit, unsigned region_grain)
+      : cli(client),
+        name(std::move(circuit)),
+        grain(region_grain),
+        base(serve::make_request_for_spec(name)) {
     base.partition_grain = grain;
     current = serve::load_request_circuit(base);
     current_hash = current.content_hash();
@@ -127,13 +142,35 @@ struct eco_session {
     for (std::size_t i = 0; i < size; ++i, ++next_flip) {
       const aig::node_index target =
           gates[next_flip % gates.size()];
-      const bool flip_f0 = (next_flip / gates.size()) % 2 != 0;
-      const signal a = current.fanin0(target);
-      const signal b = current.fanin1(target);
-      script += "replace n" + std::to_string(target) + " " +
-                sig_token(flip_f0 ? !a : a) + " " +
-                sig_token(flip_f0 ? b : !b) + "\n";
+      script += flip_line(target, (next_flip / gates.size()) % 2 != 0);
     }
+    return submit_script(script);
+  }
+
+  /// One single-gate flip at a seeded random (gate, fanin) slot, redrawn
+  /// while it would return the session to a state it already served.
+  double submit_random_flip(rng& gen) {
+    for (;;) {
+      const std::string script =
+          flip_line(gates[gen() % gates.size()], (gen() & 1) != 0);
+      aig next = current;
+      eco::apply_edit_text(next, script);
+      if (!seen.contains(next.content_hash())) return submit_script(script);
+    }
+  }
+
+ private:
+  std::string flip_line(aig::node_index target, bool flip_f0) const {
+    const signal a = current.fanin0(target);
+    const signal b = current.fanin1(target);
+    return "replace n" + std::to_string(target) + " " +
+           sig_token(flip_f0 ? !a : a) + " " + sig_token(flip_f0 ? b : !b) +
+           "\n";
+  }
+
+  /// Round-trips `script` as a delta on the current state and returns the
+  /// client-observed milliseconds.
+  double submit_script(const std::string& script) {
     serve::synth_delta_request dreq;
     dreq.base = base;
     stamp(dreq.base);
@@ -167,9 +204,7 @@ struct eco_figures {
   double edit64_ms = 0.0;
 };
 
-eco_figures run_session(serve::client& cli, const std::string& name,
-                        unsigned grain, int reps) {
-  eco_session session(cli, name, grain);
+eco_figures run_session(eco_session& session, int reps) {
   eco_figures out;
   out.cold_ms = session.submit_cold();
   session.submit_edit(1);  // warm-up: first delta pays the retained-copy path
@@ -186,14 +221,14 @@ eco_figures run_session(serve::client& cli, const std::string& name,
   }
   std::printf("PERF_ECO circuit=%s grain=%u cold_ms=%.3f edit1_ms=%.3f "
               "edit8_ms=%.3f edit64_ms=%.3f\n",
-              name.c_str(), grain, out.cold_ms, out.edit1_ms, out.edit8_ms,
-              out.edit64_ms);
+              session.name.c_str(), session.grain, out.cold_ms, out.edit1_ms,
+              out.edit8_ms, out.edit64_ms);
   if (g_trace) {
     // Read the last measured request's waterfall back from the daemon:
     // proves the per-request collector rode the same hot path the figures
     // above timed (reported-only, not part of the gated JSON).
     const serve::trace_reply tr =
-        cli.trace({bench_trace_hi, session.last_trace_lo});
+        session.cli.trace({bench_trace_hi, session.last_trace_lo});
     double total_ms = 0.0;
     double stage_ms = 0.0;
     for (const auto& sp : tr.spans) {
@@ -202,12 +237,78 @@ eco_figures run_session(serve::client& cli, const std::string& name,
     }
     std::printf("PERF_ECO_TRACE circuit=%s spans=%zu stage_sum_ms=%.3f "
                 "request_total_ms=%.3f\n",
-                name.c_str(), tr.spans.size(), stage_ms, total_ms);
+                session.name.c_str(), tr.spans.size(), stage_ms, total_ms);
     if (tr.spans.empty()) {
       std::fprintf(stderr, "--trace produced no spans for the last edit\n");
       std::exit(1);
     }
   }
+  return out;
+}
+
+struct steady_figures {
+  std::size_t edits = 0;
+  std::uint64_t region_misses = 0;  ///< = region stores while measured
+  double region_hit_ratio = 0.0;
+  double c6288_edit1_p50_ms = 0.0;
+  double c880_edit1_p50_ms = 0.0;
+};
+
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+/// The steady phase: both sessions interleaved, one seeded random
+/// single-gate edit each per round.  Untimed rounds run until the region
+/// tier has taken more stores (one per region miss) than it holds, so every
+/// later store evicts; then `measured_rounds` rounds are timed and their
+/// region hits and misses counted.
+steady_figures run_steady(eco_session& c6288, eco_session& c880) {
+  constexpr std::uint64_t capacity = region_cache::default_capacity;
+  constexpr std::size_t poll_rounds = 64;  // rounds between stats polls
+  constexpr std::size_t max_fill_rounds = 16 * capacity;
+  constexpr std::size_t measured_rounds = 1024;
+  rng gen(0xEC0'57EAD);
+  serve::client& cli = c6288.cli;
+  const std::uint64_t misses_before = cli.cache_stats().stats.region_misses;
+  for (std::size_t round = 0;
+       cli.cache_stats().stats.region_misses - misses_before <= capacity;
+       round += poll_rounds) {
+    if (round >= max_fill_rounds) {
+      std::fprintf(stderr, "steady phase: %zu rounds never filled the "
+                           "region tier\n", round);
+      std::exit(1);
+    }
+    for (std::size_t r = 0; r < poll_rounds; ++r) {
+      c6288.submit_random_flip(gen);
+      c880.submit_random_flip(gen);
+    }
+  }
+
+  const flow::batch_cache_stats before = cli.cache_stats().stats;
+  std::vector<double> c6288_ms;
+  std::vector<double> c880_ms;
+  for (std::size_t r = 0; r < measured_rounds; ++r) {
+    c6288_ms.push_back(c6288.submit_random_flip(gen));
+    c880_ms.push_back(c880.submit_random_flip(gen));
+  }
+  const flow::batch_cache_stats after = cli.cache_stats().stats;
+  steady_figures out;
+  out.edits = c6288_ms.size() + c880_ms.size();
+  out.region_misses = after.region_misses - before.region_misses;
+  const std::uint64_t hits = after.region_hits - before.region_hits;
+  out.region_hit_ratio = static_cast<double>(hits) /
+                         static_cast<double>(hits + out.region_misses);
+  out.c6288_edit1_p50_ms = median(std::move(c6288_ms));
+  out.c880_edit1_p50_ms = median(std::move(c880_ms));
+  std::printf("PERF_ECO_STEADY edits=%zu region_misses=%llu "
+              "region_hit_ratio=%.4f c6288_edit1_p50_ms=%.3f "
+              "c880_edit1_p50_ms=%.3f\n",
+              out.edits, static_cast<unsigned long long>(out.region_misses),
+              out.region_hit_ratio, out.c6288_edit1_p50_ms,
+              out.c880_edit1_p50_ms);
   return out;
 }
 
@@ -265,12 +366,15 @@ int main(int argc, char** argv) {
   serve::server srv(options);
   serve::client cli(options.socket_path);
 
-  const eco_figures c880 = run_session(cli, "c880", 64, reps);
-  const eco_figures c6288 = run_session(cli, "c6288", 24, reps);
+  eco_session c880_session(cli, "c880", 64);
+  eco_session c6288_session(cli, "c6288", 24);
+  const eco_figures c880 = run_session(c880_session, reps);
+  const eco_figures c6288 = run_session(c6288_session, reps);
   const double speedup =
       c6288.edit1_ms > 0.0 ? c6288.cold_ms / c6288.edit1_ms : 0.0;
   std::printf("c6288 single-gate ECO: %.3f ms vs %.3f ms cold (%.1fx)\n",
               c6288.edit1_ms, c6288.cold_ms, speedup);
+  const steady_figures steady = run_steady(c6288_session, c880_session);
 
   if (!json_path.empty()) {
     std::ofstream os(json_path);
@@ -278,7 +382,14 @@ int main(int argc, char** argv) {
     emit_json(os, c880);
     os << ",\n    \"c6288\": ";
     emit_json(os, c6288);
-    os << "\n  }\n}\n";
+    os << "\n  },\n  \"steady\": {\n"
+       << "    \"edits\": " << steady.edits << ",\n"
+       << "    \"region_misses\": " << steady.region_misses << ",\n"
+       << "    \"region_hit_ratio\": " << steady.region_hit_ratio << ",\n"
+       << "    \"c6288_edit1_p50_ms\": " << steady.c6288_edit1_p50_ms
+       << ",\n"
+       << "    \"c880_edit1_p50_ms\": " << steady.c880_edit1_p50_ms << "\n"
+       << "  }\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
   srv.stop();

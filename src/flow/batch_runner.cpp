@@ -8,7 +8,6 @@
 #include <deque>
 #include <exception>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +19,7 @@
 #include "flow/disk_cache.hpp"
 #include "opt/partition.hpp"
 #include "util/hash.hpp"
+#include "util/lru.hpp"
 #include "util/trace.hpp"
 
 namespace xsfq::flow {
@@ -320,10 +320,8 @@ struct batch_runner::impl {
   struct retained_entry {
     std::shared_ptr<const aig> network;
     std::size_t bytes = 0;
-    std::list<std::uint64_t>::iterator lru_pos;  ///< position in retained_lru
   };
-  std::unordered_map<std::uint64_t, retained_entry> retained;
-  std::list<std::uint64_t> retained_lru;  ///< front = most recently used
+  lru_map<std::uint64_t, retained_entry> retained;
   std::size_t retained_budget = 256u << 20;
   std::size_t retained_bytes = 0;
   std::uint64_t retained_evictions = 0;
@@ -334,11 +332,7 @@ struct batch_runner::impl {
   /// every delta into a full rebuild.  Caller holds cache_mutex.
   void evict_retained_locked() {
     while (retained_bytes > retained_budget && retained.size() > 1) {
-      const std::uint64_t victim = retained_lru.back();
-      retained_lru.pop_back();
-      const auto it = retained.find(victim);
-      retained_bytes -= it->second.bytes;
-      retained.erase(it);
+      retained_bytes -= retained.pop_lru().bytes;
       ++retained_evictions;
     }
   }
@@ -347,17 +341,9 @@ struct batch_runner::impl {
     auto copy = std::make_shared<const aig>(network);  // outside the lock
     const std::size_t bytes = copy->memory_bytes();
     std::lock_guard<std::mutex> lock(cache_mutex);
-    const auto it = retained.find(content_hash);
-    if (it != retained.end()) {
-      // Already retained: just touch (refresh the LRU position).
-      retained_lru.splice(retained_lru.begin(), retained_lru,
-                          it->second.lru_pos);
-      return;
-    }
-    retained_lru.push_front(content_hash);
-    retained.emplace(content_hash,
-                     retained_entry{std::move(copy), bytes,
-                                    retained_lru.begin()});
+    // Already retained: find() alone refreshes the LRU position.
+    if (retained.find(content_hash) != nullptr) return;
+    retained.put(content_hash, retained_entry{std::move(copy), bytes});
     retained_bytes += bytes;
     evict_retained_locked();
   }
@@ -774,12 +760,9 @@ batch_cache_stats batch_runner::cache_stats() const {
 std::shared_ptr<const aig> batch_runner::retained_network(
     std::uint64_t content_hash) const {
   std::lock_guard<std::mutex> lock(impl_->cache_mutex);
-  const auto it = impl_->retained.find(content_hash);
-  if (it == impl_->retained.end()) return nullptr;
-  // LRU touch: a base being edited must outlive colder retained entries.
-  impl_->retained_lru.splice(impl_->retained_lru.begin(),
-                             impl_->retained_lru, it->second.lru_pos);
-  return it->second.network;
+  // The LRU touch matters: a base being edited must outlive colder entries.
+  const auto* entry = impl_->retained.find(content_hash);
+  return entry == nullptr ? nullptr : entry->network;
 }
 
 void batch_runner::set_retained_bytes(std::size_t budget) {
@@ -937,7 +920,6 @@ void batch_runner::clear_cache() {
     impl_->opt_order.clear();
     impl_->hash_memo.clear();
     impl_->retained.clear();
-    impl_->retained_lru.clear();
     impl_->retained_bytes = 0;  // retained_evictions stays cumulative
   }
   impl_->region_tier.clear();

@@ -22,9 +22,8 @@ struct region {
   aig sub;                               ///< extracted subnetwork
   std::vector<aig::node_index> inputs;   ///< parent nodes feeding sub-PIs
   std::vector<aig::node_index> outputs;  ///< exported parent gates (= sub-POs)
-  aig optimized;
-  optimize_stats stats;
-  std::shared_ptr<const region_cache::entry> cached;  ///< hit, when non-null
+  /// The optimized region: a cache hit, or the flattened live result.
+  std::shared_ptr<const region_cache::entry> optimized;
   std::uint64_t cache_key = 0;
   std::exception_ptr error;
 };
@@ -45,33 +44,67 @@ std::uint64_t sub_params_digest(const optimize_params& params) {
 
 }  // namespace
 
+std::shared_ptr<const region_cache::entry> region_cache::entry::make(
+    const aig& optimized, const optimize_stats& stats) {
+  auto e = std::make_shared<entry>();
+  e->stats = stats;
+  // Local numbering: PIs first, then gates in node order (fanins always
+  // precede their gate, so one forward walk resolves every literal).
+  std::vector<std::uint32_t> local(optimized.size(), 0);
+  std::uint32_t next = 0;
+  for (std::size_t i = 0; i < optimized.num_pis(); ++i) {
+    local[optimized.pi(i).index()] = ++next;
+  }
+  const auto literal = [&](signal f) {
+    return signal(local[f.index()], f.is_complemented());
+  };
+  e->fanins.reserve(2 * optimized.num_gates());
+  optimized.foreach_gate([&](aig::node_index n) {
+    e->fanins.push_back(literal(optimized.fanin0(n)));
+    e->fanins.push_back(literal(optimized.fanin1(n)));
+    local[n] = ++next;
+  });
+  e->outputs.reserve(optimized.num_pos());
+  for (std::size_t i = 0; i < optimized.num_pos(); ++i) {
+    e->outputs.push_back(literal(optimized.po_signal(i)));
+  }
+  return e;
+}
+
+std::size_t region_cache::entry::memory_bytes() const {
+  return (fanins.capacity() + outputs.capacity()) * sizeof(signal);
+}
+
 std::shared_ptr<const region_cache::entry> region_cache::lookup(
     std::uint64_t key) {
   std::lock_guard lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const auto* found = entries_.find(key);
+  if (found == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  return it->second;
+  return *found;
 }
 
-void region_cache::store(std::uint64_t key, aig optimized,
-                         const optimize_stats& stats) {
-  auto e = std::make_shared<entry>();
-  e->optimized = std::move(optimized);
-  e->stats = stats;
+void region_cache::store(std::uint64_t key, std::shared_ptr<const entry> e) {
+  std::shared_ptr<const entry> evicted;  // freed after the lock is released
   std::lock_guard lock(mutex_);
-  if (entries_.size() >= max_entries_ && !entries_.contains(key)) {
-    entries_.erase(entries_.begin());  // arbitrary victim: time, never bytes
+  bytes_ += e->memory_bytes();
+  if (const auto* present = entries_.find(key)) {
+    bytes_ -= (*present)->memory_bytes();
   }
-  entries_[key] = std::move(e);
+  entries_.put(key, std::move(e));
+  if (entries_.size() > max_entries_) {  // one store adds at most one entry
+    evicted = entries_.pop_lru();
+    bytes_ -= evicted->memory_bytes();
+    ++evictions_;
+  }
 }
 
 region_cache::counters region_cache::counts() const {
   std::lock_guard lock(mutex_);
-  return {hits_, misses_};
+  return {hits_, misses_, evictions_};
 }
 
 std::size_t region_cache::size() const {
@@ -79,9 +112,15 @@ std::size_t region_cache::size() const {
   return entries_.size();
 }
 
+std::size_t region_cache::memory_bytes() const {
+  std::lock_guard lock(mutex_);
+  return bytes_;
+}
+
 void region_cache::clear() {
   std::lock_guard lock(mutex_);
   entries_.clear();
+  bytes_ = 0;
 }
 
 unsigned effective_partition_count(std::size_t num_gates, unsigned flow_jobs) {
@@ -205,8 +244,8 @@ aig optimize_partitioned(const aig& network, const optimize_params& params,
     }
     r.cache_key = key;
     if (params.regions) {
-      r.cached = params.regions->lookup(r.cache_key);
-      if (r.cached) {
+      r.optimized = params.regions->lookup(r.cache_key);
+      if (r.optimized) {
         ++cache_hits;
         continue;  // merge replays the cached result; no sub-AIG needed
       }
@@ -242,14 +281,16 @@ aig optimize_partitioned(const aig& network, const optimize_params& params,
   const trace::trace_id trace_ctx = trace::current();
   for (unsigned k = 0; k < P; ++k) {
     region* r = &regions[k];
-    if (r->cached) continue;
+    if (r->optimized) continue;
     region_cache* cache = params.regions;
     tasks.push_back([r, cache, sub_params, trace_ctx] {
       trace::context_scope tscope(trace_ctx);
       const std::uint64_t start_us = trace::now_us();
       try {
-        r->optimized = optimize(r->sub, sub_params, &r->stats);
-        if (cache) cache->store(r->cache_key, r->optimized, r->stats);
+        optimize_stats sub_stats;
+        r->optimized = region_cache::entry::make(
+            optimize(r->sub, sub_params, &sub_stats), sub_stats);
+        if (cache) cache->store(r->cache_key, r->optimized);
       } catch (...) {
         r->error = std::current_exception();
       }
@@ -277,23 +318,24 @@ aig optimize_partitioned(const aig& network, const optimize_params& params,
         merged.create_register_output(network.register_at(i).init,
                                       network.register_name(i));
   }
+  // Each region replays its flat literals: local node 0 is constant-0,
+  // 1..I the region inputs, then one node per gate pair, in order.
   std::vector<signal> replay;
   for (unsigned k = 0; k < P; ++k) {
     const region& r = regions[k];
-    const aig& opt = r.cached ? r.cached->optimized : r.optimized;
-    replay.assign(opt.size(), merged.get_constant(false));
-    for (std::size_t i = 0; i < opt.num_pis(); ++i) {
-      replay[opt.pi(i).index()] = merged_map[r.inputs[i]];
+    const region_cache::entry& opt = *r.optimized;
+    replay.clear();
+    replay.push_back(merged.get_constant(false));
+    for (const aig::node_index m : r.inputs) replay.push_back(merged_map[m]);
+    const auto resolve = [&](signal f) {
+      return replay[f.index()] ^ f.is_complemented();
+    };
+    for (std::size_t g = 0; g < opt.fanins.size(); g += 2) {
+      replay.push_back(
+          merged.create_and(resolve(opt.fanins[g]), resolve(opt.fanins[g + 1])));
     }
-    opt.foreach_gate([&](aig::node_index n) {
-      const signal f0 = opt.fanin0(n);
-      const signal f1 = opt.fanin1(n);
-      replay[n] = merged.create_and(replay[f0.index()] ^ f0.is_complemented(),
-                                    replay[f1.index()] ^ f1.is_complemented());
-    });
     for (std::size_t i = 0; i < r.outputs.size(); ++i) {
-      const signal po = opt.po_signal(i);
-      merged_map[r.outputs[i]] = replay[po.index()] ^ po.is_complemented();
+      merged_map[r.outputs[i]] = resolve(opt.outputs[i]);
     }
   }
   for (std::size_t i = 0; i < network.num_pos(); ++i) {
@@ -333,7 +375,7 @@ aig optimize_partitioned(const aig& network, const optimize_params& params,
     total.final_gates = result.num_gates();
     total.final_depth = result.depth();
     for (const region& r : regions) {
-      const optimize_stats& rs = r.cached ? r.cached->stats : r.stats;
+      const optimize_stats& rs = r.optimized->stats;
       total.rounds = std::max(total.rounds, rs.rounds);
       opt_counters& w = total.work;
       const opt_counters& rw = rs.work;

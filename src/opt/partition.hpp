@@ -21,10 +21,11 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "opt/script.hpp"
+#include "util/lru.hpp"
 
 namespace xsfq {
 
@@ -48,35 +49,60 @@ struct partition_info {
 /// the work counters match).
 ///
 /// Thread-safe; entries are shared const so concurrent flows can merge from
-/// the same stored region.  Bounded by `max_entries` with arbitrary-entry
-/// eviction (eviction affects time, never bytes).
+/// the same stored region.  Bounded by `max_entries` with least-recently-used
+/// eviction: every hit refreshes its entry, so the clean regions of a live
+/// session stay hot while the regions of long-superseded states age out
+/// (eviction affects time, never bytes).
 class region_cache {
  public:
+  /// One optimized region in the flat form the merge replays, with no
+  /// structural-hash index and no spare capacity (in an ECO session about
+  /// 1/30 of the optimized `aig` it was made from).  Nodes are numbered
+  /// locally — 0 is constant-0, 1..I the region inputs in order, I+1.. the
+  /// gates in topological order — and every literal is a signal over that
+  /// numbering.
   struct entry {
-    aig optimized;
+    std::vector<signal> fanins;   ///< two literals per gate, gate order
+    std::vector<signal> outputs;  ///< one literal per exported gate
     optimize_stats stats;  ///< the live run's counters, replayed on a hit
+
+    /// Flattens an optimized region whose PIs are the region inputs.
+    static std::shared_ptr<const entry> make(const aig& optimized,
+                                             const optimize_stats& stats);
+    /// Heap bytes of the literal arrays (capacity, like aig::memory_bytes).
+    [[nodiscard]] std::size_t memory_bytes() const;
   };
 
-  explicit region_cache(std::size_t max_entries = 4096)
+  static constexpr std::size_t default_capacity = 4096;
+
+  explicit region_cache(std::size_t max_entries = default_capacity)
       : max_entries_(max_entries) {}
 
+  /// The entry under `key` (refreshed to most recently used), or null.
   std::shared_ptr<const entry> lookup(std::uint64_t key);
-  void store(std::uint64_t key, aig optimized, const optimize_stats& stats);
+  /// Stores `e` as the most recently used entry, evicting the least
+  /// recently used ones beyond `max_entries`.
+  void store(std::uint64_t key, std::shared_ptr<const entry> e);
 
   struct counters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;  ///< lookups that found nothing
+    std::uint64_t evictions = 0;  ///< entries dropped from the cold end
   };
   [[nodiscard]] counters counts() const;
   [[nodiscard]] std::size_t size() const;
+  /// Summed entry::memory_bytes of the held entries.
+  [[nodiscard]] std::size_t memory_bytes() const;
   void clear();
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const entry>> entries_;
+  lru_map<std::uint64_t, std::shared_ptr<const entry>> entries_;
   std::size_t max_entries_;
+  std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 /// The region count optimize_partitioned will actually use for a network of

@@ -18,6 +18,7 @@
 #include "aig/simulate.hpp"
 #include "benchgen/registry.hpp"
 #include "flow/batch_runner.hpp"
+#include "opt/partition.hpp"
 #include "serve/client.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
@@ -468,6 +469,115 @@ TEST(EcoRunner, DropEntryRemovesMemoryAndDiskTiers) {
   runner.run_cached(net, "c432", options);
   EXPECT_EQ(runner.cache_stats().full_hits, 0u);
   EXPECT_EQ(runner.cache_stats().disk_hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Region tier: least-recently-used eviction and compact entries.
+// ---------------------------------------------------------------------------
+
+TEST(EcoRegionTier, HotKeysSurviveForeignStoresBeyondCapacity) {
+  constexpr std::size_t capacity = 4;
+  region_cache cache(capacity);
+  const auto entry = std::make_shared<const region_cache::entry>();
+  constexpr std::uint64_t hot = 1;
+  constexpr std::uint64_t first_foreign = 100;
+  constexpr std::uint64_t foreign = 3 * capacity;
+  cache.store(hot, entry);
+  for (std::uint64_t k = first_foreign; k < first_foreign + foreign; ++k) {
+    ASSERT_NE(cache.lookup(hot), nullptr) << "evicted before store " << k;
+    cache.store(k, entry);
+    EXPECT_LE(cache.size(), capacity);
+  }
+  EXPECT_NE(cache.lookup(hot), nullptr);
+  // The cold end went first: only the newest capacity-1 foreign keys remain.
+  for (std::uint64_t k = first_foreign; k < first_foreign + foreign; ++k) {
+    const bool newest = k >= first_foreign + foreign - (capacity - 1);
+    EXPECT_EQ(cache.lookup(k) != nullptr, newest) << k;
+  }
+  // Re-storing a present key refreshes it instead of growing the tier.
+  cache.store(hot, entry);
+  EXPECT_EQ(cache.size(), capacity);
+}
+
+TEST(EcoRegionTier, EditChainMissesFewRegionsAndMatchesUncachedRuns) {
+  aig net = benchgen::make_benchmark("c6288");
+  constexpr std::size_t grain = 24;
+  const std::size_t regions = net.num_gates() / grain;
+  optimize_params uncached;
+  uncached.partition_grain = grain;
+  // The multiplier repeats itself: count the distinct regions of one state.
+  region_cache probe;
+  optimize_params probed = uncached;
+  probed.regions = &probe;
+  (void)optimize_partitioned(net, probed);
+  // Room for every region of one state plus a little slack, so the hot set
+  // always fits; each edit stores one new region, and the chain stores
+  // enough of them to run across a few dozen evictions.
+  const std::size_t capacity = regions + 8;
+  const std::size_t edits = capacity - probe.size() + 24;
+  region_cache cache(capacity);
+  optimize_params cached = uncached;
+  cached.regions = &cache;
+
+  partition_info info;
+  for (std::size_t e = 0; e <= edits; ++e) {
+    if (e > 0) {
+      // Spread the edits over the array; every slot is visited once, so no
+      // edited region ever returns to an earlier content.
+      eco::apply_edit_text(net, flip_gate_edit(net, (e * 37) % 1000));
+    }
+    const aig incremental = optimize_partitioned(net, cached, nullptr, &info);
+    const aig reference = optimize_partitioned(net, uncached);
+    ASSERT_EQ(info.partitions, regions);
+    if (e > 0) {
+      EXPECT_LE(info.region_cache_misses, 2u) << "edit " << e;
+    }
+    EXPECT_EQ(incremental.content_hash(), reference.content_hash())
+        << "edit " << e;
+    EXPECT_EQ(incremental.size(), reference.size()) << "edit " << e;
+  }
+  EXPECT_EQ(cache.size(), capacity);
+  EXPECT_GE(cache.counts().evictions, 16u);
+}
+
+TEST(EcoRegionTier, EntriesStayCompact) {
+  // An entry must not hold a structural-hash index or spare capacity: its
+  // footprint stays within twice the smallest form of the network, two
+  // fanin words per node plus one word per interface signal.
+  const auto lower_bound_bytes = [](const aig& g) {
+    return (2 * g.size() + g.num_pis() + g.num_pos()) * sizeof(signal);
+  };
+  constexpr std::size_t capacity = 3;
+  region_cache cache(capacity);
+  std::vector<std::size_t> bound_bytes;  // per stored network
+  std::vector<std::size_t> aig_bytes;
+  std::uint64_t key = 0;
+  for (const char* name : {"c432", "c499", "c880", "c1355", "c1908"}) {
+    optimize_stats stats;
+    const aig optimized = optimize(benchgen::make_benchmark(name), {}, &stats);
+    const auto entry = region_cache::entry::make(optimized, stats);
+    EXPECT_EQ(entry->fanins.size(), 2 * optimized.num_gates()) << name;
+    EXPECT_EQ(entry->outputs.size(), optimized.num_pos()) << name;
+    cache.store(++key, entry);
+    bound_bytes.push_back(lower_bound_bytes(optimized));
+    aig_bytes.push_back(optimized.memory_bytes());
+  }
+  // Only the last `capacity` stores are held.
+  std::size_t held_bound = 0;
+  std::size_t held_aig = 0;
+  for (std::size_t i = bound_bytes.size() - capacity; i < bound_bytes.size();
+       ++i) {
+    held_bound += bound_bytes[i];
+    held_aig += aig_bytes[i];
+  }
+  EXPECT_EQ(cache.size(), capacity);
+  EXPECT_GT(cache.memory_bytes(), 0u);
+  EXPECT_LE(cache.memory_bytes(), 2 * held_bound);
+  // The bound discriminates: the networks themselves, strash and all,
+  // would break it.
+  EXPECT_GT(held_aig, 2 * held_bound);
+  cache.clear();
+  EXPECT_EQ(cache.memory_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ paths (relative to the bench entry) to absolute millisecond ceilings, e.g.
 {"eco.c6288.edit1_ms": 2.0}.  Caps encode acceptance criteria ("a single-gate
 c6288 edit resynthesizes in under 2 ms") rather than drift tolerances: they
 are enforced without tolerance, slack, or hardware calibration, and --update
-preserves them across re-baselining.
+preserves them across re-baselining.  An "abs_floors" object does the same
+for minimums, e.g. {"steady.region_hit_ratio": 0.9}: a floor suits a count
+or ratio that does not depend on the host.
 
 Everything else (counters, speedup ratios, nested arrays) is informational
 only.  `scale` compensates for the benchmark host being faster/slower than
@@ -47,12 +49,17 @@ CALIBRATION_KEY = ("sim", "scalar_sweep_mpatterns_per_s")
 # scheduler/IO jitter the throughput calibration cannot capture; they stay
 # informational (archived in the perf-smoke artifact) rather than gated.
 UNGATED_SUBTREES = {"service"}
+# Absolute limits: key -> (comparison, wording); policy, not measurement.
+ABS_LIMITS = {
+    "abs_caps": (lambda value, limit: value > limit, "absolute cap"),
+    "abs_floors": (lambda value, limit: value < limit, "absolute floor"),
+}
 
 
 def walk(prefix, base, cur, out):
     if isinstance(base, dict) and isinstance(cur, dict):
         for key, bval in base.items():
-            if key in UNGATED_SUBTREES or key == "abs_caps":
+            if key in UNGATED_SUBTREES or key in ABS_LIMITS:
                 continue
             if key in cur:
                 walk(prefix + (key,), bval, cur[key], out)
@@ -97,11 +104,12 @@ def main(argv):
 
     if update:
         for name, cur in currents.items():
-            caps = baseline.get(name, {}).get("abs_caps")
+            limits = {key: baseline.get(name, {})[key] for key in ABS_LIMITS
+                      if key in baseline.get(name, {})}
             baseline[name] = cur
-            if caps is not None:
-                # Caps are policy, not measurement; they survive re-baselining.
-                baseline[name]["abs_caps"] = caps
+            # Absolute limits are policy, not measurement; they survive
+            # re-baselining.
+            baseline[name].update(limits)
             print(f"re-baselined {name}")
         with open(positional[0], "w") as f:
             json.dump(baseline, f, indent=2)
@@ -151,26 +159,29 @@ def main(argv):
                 if cval < limit:
                     failures.append((label, bval, cval, limit, "/s"))
 
-    # Absolute caps: acceptance-criterion ceilings, no tolerance and no
-    # hardware calibration (a slower host does not get to miss the claim).
+    # Absolute limits: acceptance-criterion ceilings and floors, no tolerance
+    # and no hardware calibration (a slower host does not get to miss the
+    # claim).
     for name, cur in currents.items():
-        caps = baseline.get(name, {}).get("abs_caps", {})
-        for dotted, cap in caps.items():
-            node = cur
-            for key in dotted.split("."):
-                node = node.get(key) if isinstance(node, dict) else None
-            if not isinstance(node, (int, float)):
-                print(f"FAIL {name}.{dotted}: capped metric missing from "
-                      f"current run")
-                failures.append((f"{name}.{dotted}", float(cap), float("nan"),
-                                 float(cap), "ms"))
-                continue
-            status = "FAIL" if node > cap else "ok"
-            print(f"{status:4} {name}.{dotted}: {node:.3f} ms "
-                  f"(absolute cap {cap:.3f})")
-            if node > cap:
-                failures.append((f"{name}.{dotted}", float(cap), float(node),
-                                 float(cap), "ms"))
+        for kind, (breaks, wording) in ABS_LIMITS.items():
+            for dotted, limit in baseline.get(name, {}).get(kind, {}).items():
+                label = f"{name}.{dotted}"
+                unit = "ms" if dotted.endswith("_ms") else ""
+                node = cur
+                for key in dotted.split("."):
+                    node = node.get(key) if isinstance(node, dict) else None
+                if not isinstance(node, (int, float)):
+                    print(f"FAIL {label}: limited metric missing from "
+                          f"current run")
+                    failures.append((label, float(limit), float("nan"),
+                                     float(limit), unit))
+                    continue
+                status = "FAIL" if breaks(node, limit) else "ok"
+                print(f"{status:4} {label}: {node:.3f} {unit} ({wording} "
+                      f"{limit:.3f})")
+                if breaks(node, limit):
+                    failures.append((label, float(limit), float(node),
+                                     float(limit), unit))
 
     if failures:
         print(f"\nperf regression: {len(failures)} metric(s) beyond "
